@@ -5,7 +5,7 @@ A *query* in this library is one of:
 - a single node id (the paper's main case),
 - a sequence of node ids (a multi-node query, e.g. the three term nodes of
   "spatio temporal data"; all nodes weighted equally),
-- a mapping ``{node_id: weight}`` with non-negative weights.
+- a mapping ``{node_id: weight}`` with finite, non-negative weights.
 
 Multi-node queries are handled by the Linearity Theorem the paper inherits
 from Jeh & Widom: every measure here is a linear function of its single-node
@@ -27,8 +27,9 @@ Query = Union[int, Sequence[int], Mapping[int, float]]
 def normalize_query(graph: DiGraph, query: Query) -> tuple[np.ndarray, np.ndarray]:
     """Normalize a query into ``(nodes, weights)`` with weights summing to one.
 
-    Raises ``ValueError`` on empty queries, out-of-range nodes, negative
-    weights or all-zero weights.  Duplicate nodes have their weights summed.
+    Raises ``ValueError`` on empty queries, out-of-range nodes, NaN,
+    infinite or negative weights, or all-zero weights.  Duplicate nodes have
+    their weights summed.
     """
     if isinstance(query, (int, np.integer)):
         node = check_node_id(int(query), graph.n_nodes, "query")
@@ -40,6 +41,10 @@ def normalize_query(graph: DiGraph, query: Query) -> tuple[np.ndarray, np.ndarra
         weights = np.array([float(w) for _, w in items])
         if weights.size == 0:
             raise ValueError("query must not be empty")
+        # NaN compares False against everything, so finiteness is checked
+        # first: a NaN or infinite weight would turn every score into NaN.
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("query weights must be finite")
         if np.any(weights < 0):
             raise ValueError("query weights must be non-negative")
     else:

@@ -7,7 +7,10 @@ Two pillars, both amortizing work across many units at once:
   exit (``frank_batch`` / ``trank_batch`` / ``roundtriprank_batch`` /
   ``roundtriprank_plus_batch``); the default ``method="auto"`` layers a
   residual-verified mixed-precision Chebyshev acceleration on top, with
-  ``method="power"`` as the bit-exact reference;
+  ``method="power"`` as the bit-exact reference; ``compose_scores`` is the
+  one routine that turns per-node F/T columns into per-query scores, shared
+  by the round-trip batch functions, the serving batcher and escalated
+  local top-k;
 - :mod:`repro.engine.walks` — :class:`WalkEngine`, which advances all active
   Monte Carlo walkers simultaneously with one ``searchsorted`` per step
   instead of a Python-level ``rng.choice`` per walker.
@@ -26,6 +29,7 @@ results are bit-identical under every kernel.
 """
 
 from repro.engine.batch import (
+    compose_scores,
     frank_batch,
     power_iteration_batch,
     roundtriprank_batch,
@@ -41,6 +45,7 @@ __all__ = [
     "roundtriprank_batch",
     "roundtriprank_plus_batch",
     "power_iteration_batch",
+    "compose_scores",
     "stack_teleports",
     "WalkEngine",
     "get_walk_engine",

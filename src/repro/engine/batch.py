@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from repro.core.frank import DEFAULT_ALPHA, ConvergenceWarning
 from repro.core.queries import Query, normalize_query
 from repro.graph.digraph import DiGraph
 from repro.ops import TransitionOperator, as_operator, get_operator
-from repro.utils.validation import check_in_range, check_positive
+from repro.utils.validation import check_in_range, check_positive, check_probability
 
 #: L1-delta floor reliably reachable by the float32 Chebyshev phases; below
 #: this, progress must come from float64 residual correction.
@@ -63,6 +63,9 @@ _F32_FLOOR = 2e-6
 #: Sweep budget for one float32 Chebyshev phase (a phase typically needs
 #: ~20 sweeps; the budget only matters when float32 stalls).
 _PHASE_BUDGET = 120
+
+#: The per-query score measures :func:`compose_scores` builds from F/T columns.
+MEASURES = ("roundtriprank", "roundtriprank_plus", "frank", "trank")
 
 _OBS_SOLVES = obs.counter(
     "repro_engine_solves_total", "Batch solves by method.", labels=("method",)
@@ -94,11 +97,6 @@ def _record_solve(span_, method: str, x: np.ndarray, norms: np.ndarray, sweeps: 
         pass
     _OBS_SOLVES.inc(method=method)
     _OBS_SWEEPS.inc(int(sweeps))
-
-
-def _prepared_operator(graph: DiGraph, transpose: bool, dtype):
-    """Backward-compatible shim: the prepared CSR now lives in :mod:`repro.ops`."""
-    return get_operator(graph, transpose).matrix(dtype)
 
 
 def stack_teleports(graph: DiGraph, queries: Sequence[Query]) -> np.ndarray:
@@ -276,7 +274,6 @@ def power_iteration_batch(
     max_iter: int = 1000,
     warn_on_nonconvergence: bool = True,
     method: str = "auto",
-    operator_f32=None,
 ) -> np.ndarray:
     """Solve ``X = alpha * teleports + (1 - alpha) * operator @ X`` column-wise.
 
@@ -298,11 +295,6 @@ def power_iteration_batch(
     ``tol`` when the sweep budget ``max_iter`` is exhausted trigger one
     :class:`repro.core.frank.ConvergenceWarning` (opt out with
     ``warn_on_nonconvergence=False``).
-
-    ``operator_f32`` lets callers passing a raw sparse matrix supply a
-    pre-built float32 copy for the accelerated path; it is ignored when
-    ``operator`` is already a :class:`~repro.ops.TransitionOperator` (the
-    operator caches its own variants).
     """
     alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False)
     check_positive(tol, "tol")
@@ -310,7 +302,7 @@ def power_iteration_batch(
         raise ValueError(f"max_iter must be > 0, got {max_iter}")
     if method not in ("auto", "power"):
         raise ValueError(f"method must be 'auto' or 'power', got {method!r}")
-    top = as_operator(operator, float32=operator_f32)
+    top = as_operator(operator)
     teleports = np.asarray(teleports, dtype=np.float64)
     if teleports.ndim != 2:
         raise ValueError(f"teleports must be 2-D (n x q), got shape {teleports.shape}")
@@ -465,7 +457,7 @@ def trank_batch(
     )
 
 
-def _per_node_ft(
+def _per_node_columns(
     graph: DiGraph,
     parsed: "list[tuple[np.ndarray, np.ndarray]]",
     alpha: float,
@@ -474,40 +466,103 @@ def _per_node_ft(
     warn_on_nonconvergence: bool,
     method: str,
     workers: "int | None" = None,
-) -> "tuple[np.ndarray, np.ndarray, dict[int, int]]":
-    """Batched (F, T) columns for the union of single query nodes.
+) -> "tuple[dict[int, np.ndarray], dict[int, np.ndarray]]":
+    """Per-node F and T columns for the union of the batch's query nodes.
 
     RoundTripRank is *not* linear in the teleport vector — a multi-node query
     needs the per-node product ``f_i * t_i`` before the weighted sum — so the
     batch expands every distinct query node into its own column and solves
-    all of them in two multi-column sweeps (one for F, one for T).
+    all of them in two multi-column sweeps (one for F, one for T).  Each
+    solve is transposed once, so every node's column is contiguous for
+    :func:`compose_scores`.
     """
-    all_nodes = np.unique(np.concatenate([nodes for nodes, _ in parsed]))
-    columns = [int(v) for v in all_nodes]
-    col_of = {v: j for j, v in enumerate(columns)}
-    f = frank_batch(graph, columns, alpha, tol, max_iter, warn_on_nonconvergence, method, workers)
-    t = trank_batch(graph, columns, alpha, tol, max_iter, warn_on_nonconvergence, method, workers)
-    return f, t, col_of
+    union = np.unique(np.concatenate([nodes for nodes, _ in parsed])).tolist()
+    f = frank_batch(graph, union, alpha, tol, max_iter, warn_on_nonconvergence, method, workers)
+    t = trank_batch(graph, union, alpha, tol, max_iter, warn_on_nonconvergence, method, workers)
+    return (
+        dict(zip(union, np.ascontiguousarray(f.T))),
+        dict(zip(union, np.ascontiguousarray(t.T))),
+    )
 
 
-def normalize_columns(scores: np.ndarray, what: str) -> np.ndarray:
-    """Normalize each column to sum to one, warning on zero-mass columns.
+def compose_scores(
+    parsed: "Sequence[tuple[np.ndarray, np.ndarray]]",
+    measure: str,
+    f_columns: "Mapping[int, np.ndarray] | None",
+    t_columns: "Mapping[int, np.ndarray] | None",
+    *,
+    beta: float = 0.5,  # mirrors repro.core.roundtrip_plus.DEFAULT_BETA
+    normalize: bool = False,
+    what: str = "compose_scores",
+) -> np.ndarray:
+    """Compose per-node columns into a query-major ``q x n`` score block.
 
-    A zero-mass column cannot be a distribution; it is returned as all zeros
-    and a ``RuntimeWarning`` is emitted so callers notice the broken
-    "sums to one" contract instead of silently consuming zeros.
+    ``parsed`` holds one ``(nodes, weights)`` pair per query (as returned by
+    :func:`repro.core.queries.normalize_query`); ``f_columns`` /
+    ``t_columns`` map every query node to its length-``n`` F / T column
+    (``None`` when ``measure`` does not read that side).  Row ``j`` is
+    ``sum_i w_i * term_i`` over query ``j``'s nodes in order, with
+    ``term_i`` the node's per-measure score: ``f_i`` (``"frank"``), ``t_i``
+    (``"trank"``), ``f_i * t_i`` (``"roundtriprank"``, Proposition 2) or
+    ``f_i^(1-beta) * t_i^beta`` (``"roundtriprank_plus"``, Eq. 12, with the
+    same operations as :func:`repro.core.roundtrip_plus.combine_beta`).
+    Each row is accumulated in place into one C-contiguous block, so its
+    scores are contiguous for top-k selection.
+
+    This is the one composition routine of the library: the batch engine,
+    :class:`repro.serving.MicroBatcher` and the escalated
+    :func:`repro.topk.local_topk` all call it, which is what makes their
+    scores bit-identical for identical columns.
+
+    With ``normalize=True`` each row is divided by its sum; a zero-mass row
+    cannot be a distribution, so it stays all zeros and a ``RuntimeWarning``
+    naming ``what`` is emitted.
     """
-    totals = scores.sum(axis=0)
-    zero = totals <= 0.0
-    if zero.any():
-        warnings.warn(
-            f"{what}: {int(zero.sum())} of {scores.shape[1]} queries have zero "
-            "total mass; their score vectors are all-zeros, not distributions",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    safe = np.where(zero, 1.0, totals)
-    return scores / safe
+    if measure not in MEASURES:
+        raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
+    if measure == "roundtriprank_plus":
+        beta = check_probability(beta, "beta")
+        # combine_beta returns the untouched F / T column at the extremes.
+        if beta == 0.0:
+            measure = "frank"
+        elif beta == 1.0:
+            measure = "trank"
+    if len(parsed) == 0:
+        raise ValueError("queries must not be empty")
+    some = f_columns if f_columns is not None else t_columns
+    n = next(iter(some.values())).shape[0]
+    out = np.empty((len(parsed), n))
+    term = np.empty(n)
+    power = np.empty(n) if measure == "roundtriprank_plus" else None
+    for row, (nodes, weights) in zip(out, parsed):
+        for i, (node, weight) in enumerate(zip(nodes.tolist(), weights.tolist())):
+            if measure == "frank":
+                source = f_columns[node]
+            elif measure == "trank":
+                source = t_columns[node]
+            elif measure == "roundtriprank":
+                source = np.multiply(f_columns[node], t_columns[node], out=term)
+            else:
+                np.power(f_columns[node], 1.0 - beta, out=term)
+                np.power(t_columns[node], beta, out=power)
+                source = np.multiply(term, power, out=term)
+            if i == 0:
+                np.multiply(source, weight, out=row)
+            else:
+                row += np.multiply(source, weight, out=term)
+    if normalize:
+        totals = out.sum(axis=1)
+        zero = totals <= 0.0
+        if zero.any():
+            warnings.warn(
+                f"{what}: {int(zero.sum())} of {out.shape[0]} queries have zero "
+                "total mass; their score vectors are all-zeros, not distributions",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            totals[zero] = 1.0
+        out /= totals[:, None]
+    return out
 
 
 def roundtriprank_batch(
@@ -526,8 +581,9 @@ def roundtriprank_batch(
     Column ``j`` equals ``roundtriprank(graph, queries[j], alpha)``.  All
     distinct query nodes across the batch share two multi-column solves (F
     and T); per-query scores are the weighted per-node ``f * t`` products of
-    Proposition 2.  ``workers`` shards both solves across the
-    :mod:`repro.parallel` pool as in :func:`frank_batch`.
+    Proposition 2, composed by :func:`compose_scores` (the result is the
+    transposed view of its query-major block).  ``workers`` shards both
+    solves across the :mod:`repro.parallel` pool as in :func:`frank_batch`.
 
     With ``normalize=True`` each column sums to one *when it has positive
     mass*; a zero-mass column stays all-zeros and triggers a
@@ -536,16 +592,12 @@ def roundtriprank_batch(
     if len(queries) == 0:
         raise ValueError("queries must not be empty")
     parsed = [normalize_query(graph, q) for q in queries]
-    f, t, col_of = _per_node_ft(
+    f, t = _per_node_columns(
         graph, parsed, alpha, tol, max_iter, warn_on_nonconvergence, method, workers
     )
-    scores = np.zeros((graph.n_nodes, len(queries)))
-    for j, (nodes, weights) in enumerate(parsed):
-        cols = [col_of[int(v)] for v in nodes]
-        scores[:, j] = (f[:, cols] * t[:, cols]) @ weights
-    if normalize:
-        scores = normalize_columns(scores, "roundtriprank_batch")
-    return scores
+    return compose_scores(
+        parsed, "roundtriprank", f, t, normalize=normalize, what="roundtriprank_batch"
+    ).T
 
 
 def roundtriprank_plus_batch(
@@ -565,19 +617,10 @@ def roundtriprank_plus_batch(
     — the ``f^(1-beta) * t^beta`` combination, unnormalized as in the
     single-query function.  ``workers`` behaves as in :func:`frank_batch`.
     """
-    # Imported lazily: roundtrip_plus rewires onto this module, so a
-    # module-level import would be circular.
-    from repro.core.roundtrip_plus import combine_beta
-
     if len(queries) == 0:
         raise ValueError("queries must not be empty")
     parsed = [normalize_query(graph, q) for q in queries]
-    f, t, col_of = _per_node_ft(
+    f, t = _per_node_columns(
         graph, parsed, alpha, tol, max_iter, warn_on_nonconvergence, method, workers
     )
-    scores = np.zeros((graph.n_nodes, len(queries)))
-    for j, (nodes, weights) in enumerate(parsed):
-        for node, weight in zip(nodes.tolist(), weights.tolist()):
-            col = col_of[node]
-            scores[:, j] += weight * combine_beta(f[:, col], t[:, col], beta)
-    return scores
+    return compose_scores(parsed, "roundtriprank_plus", f, t, beta=beta).T

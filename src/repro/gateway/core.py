@@ -394,7 +394,7 @@ class RankGateway:
         the happy path: already-exact columns join the push as zero-error
         states via ``column_probe``, and an escalation solves its full
         columns *through* ``cache.get_many`` — bit-identical arithmetic to
-        :meth:`MicroBatcher._score_columns_cached`, and the columns it
+        :meth:`MicroBatcher._score_rows_cached`, and the columns it
         stores are complete, so a partial push result can never poison the
         cache.
         """
@@ -425,10 +425,8 @@ class RankGateway:
                 return cache.get(graph_obj, kind, node, alpha)
             return None
 
-        def solve_columns(kind: str, node_list: "list[int]") -> np.ndarray:
-            return np.stack(
-                cache.get_many(graph_obj, kind, node_list, alpha), axis=1
-            )
+        def solve_columns(kind: str, node_list: "list[int]") -> "list[np.ndarray]":
+            return cache.get_many(graph_obj, kind, node_list, alpha)
 
         future: Future = Future()
         try:

@@ -31,6 +31,7 @@ reconstruct operators from shared memory, float32 variant included).
 """
 
 from repro.ops.kernels import (
+    HAS_CSR_MATVEC,
     HAS_CSR_MATVECS,
     HAS_NUMBA,
     KERNEL_ENV_VAR,
@@ -65,6 +66,7 @@ __all__ = [
     "KERNELS",
     "KERNEL_ENV_VAR",
     "KERNEL_THREADS_ENV_VAR",
+    "HAS_CSR_MATVEC",
     "HAS_CSR_MATVECS",
     "HAS_NUMBA",
 ]

@@ -399,21 +399,16 @@ def get_operator(graph, transpose: bool = False) -> TransitionOperator:
     return found
 
 
-def as_operator(
-    operator,
-    float32: "sp.spmatrix | None" = None,
-) -> TransitionOperator:
+def as_operator(operator) -> TransitionOperator:
     """Coerce ``operator`` into a :class:`TransitionOperator`.
 
     Passes existing operators through unchanged; wraps scipy sparse
-    matrices detached (no graph cache).  ``float32`` is forwarded to
-    :meth:`TransitionOperator.from_csr` for pre-built low-precision
-    variants.
+    matrices detached (no graph cache).
     """
     if isinstance(operator, TransitionOperator):
         return operator
     if sp.issparse(operator):
-        return TransitionOperator.from_csr(operator, float32=float32)
+        return TransitionOperator.from_csr(operator)
     raise TypeError(
         f"expected a TransitionOperator or scipy sparse matrix, got {type(operator)!r}"
     )

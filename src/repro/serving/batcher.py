@@ -34,10 +34,11 @@ import numpy as np
 from repro import obs
 from repro.core.frank import DEFAULT_ALPHA
 from repro.core.queries import Query, normalize_query
-from repro.core.roundtrip_plus import DEFAULT_BETA, combine_beta
+from repro.core.roundtrip_plus import DEFAULT_BETA
 from repro.engine.batch import (
+    MEASURES,
+    compose_scores,
     frank_batch,
-    normalize_columns,
     roundtriprank_batch,
     roundtriprank_plus_batch,
     trank_batch,
@@ -45,8 +46,6 @@ from repro.engine.batch import (
 from repro.graph.digraph import DiGraph
 from repro.serving.cache import ColumnCache
 from repro.serving.topk import topk_select
-
-MEASURES = ("roundtriprank", "roundtriprank_plus", "frank", "trank")
 
 _OBS_FLUSHES = obs.counter(
     "repro_batcher_flushes_total", "MicroBatcher flushes", labels=("trigger",)
@@ -401,19 +400,21 @@ class MicroBatcher:
                 batch=len(batch),
                 measure=self.measure,
             ):
-                scores = self._score_columns(batch)
-            for j, request in enumerate(batch):
+                rows = self._score_rows(batch)
+            for request, row in zip(batch, rows):
                 if request.k is None:
-                    result = np.ascontiguousarray(scores[:, j])
+                    # A fresh array per future: rows share one block.
+                    result = row.copy()
                 else:
-                    result = topk_select(scores[:, j], request.k)
+                    result = topk_select(row, request.k)
                 request.future.set_result(result)
         except BaseException as exc:  # noqa: B036 - delivered through every future
             for request in batch:
                 if not request.future.done():
                     request.future.set_exception(exc)
 
-    def _score_columns(self, batch: "list[_Request]") -> np.ndarray:
+    def _score_rows(self, batch: "list[_Request]") -> np.ndarray:
+        """The batch's scores, one row per request (``q x n``)."""
         queries = [request.query for request in batch]
         if self.cache is None:
             solver_kwargs = dict(
@@ -423,49 +424,41 @@ class MicroBatcher:
                 workers=self.workers,
             )
             if self.measure == "frank":
-                return frank_batch(self.graph, queries, self.alpha, **solver_kwargs)
+                return frank_batch(self.graph, queries, self.alpha, **solver_kwargs).T
             if self.measure == "trank":
-                return trank_batch(self.graph, queries, self.alpha, **solver_kwargs)
+                return trank_batch(self.graph, queries, self.alpha, **solver_kwargs).T
             if self.measure == "roundtriprank":
                 return roundtriprank_batch(
                     self.graph, queries, self.alpha, self.normalize, **solver_kwargs
-                )
+                ).T
             return roundtriprank_plus_batch(
                 self.graph, queries, self.beta, self.alpha, **solver_kwargs
-            )
-        return self._score_columns_cached(batch)
+            ).T
+        return self._score_rows_cached(batch)
 
-    def _score_columns_cached(self, batch: "list[_Request]") -> np.ndarray:
-        """Combine cached per-node columns; solve only the uncached nodes.
+    def _score_rows_cached(self, batch: "list[_Request]") -> np.ndarray:
+        """Compose cached per-node columns; solve only the uncached nodes.
 
         Every measure served here is a function of per-node F/T columns
         (linearity for F/T, Proposition 2 / Eq. 12 for the round-trip
         measures), so the cache's single-node columns are fully general.
+        The composition is :func:`repro.engine.batch.compose_scores`, the
+        same routine the batch engine and escalated local top-k use.
         """
         cache = self.cache
         assert cache is not None
         union = sorted({int(v) for request in batch for v in request.nodes})
-        col_of = {v: j for j, v in enumerate(union)}
-        needs_f = self.measure != "trank"
-        needs_t = self.measure != "frank"
         f = t = None
-        if needs_f:
-            f = np.stack(cache.get_many(self.graph, "f", union, self.alpha), axis=1)
-        if needs_t:
-            t = np.stack(cache.get_many(self.graph, "t", union, self.alpha), axis=1)
-        scores = np.zeros((self.graph.n_nodes, len(batch)))
-        for j, request in enumerate(batch):
-            cols = [col_of[int(v)] for v in request.nodes]
-            w = request.weights
-            if self.measure == "frank":
-                scores[:, j] = f[:, cols] @ w
-            elif self.measure == "trank":
-                scores[:, j] = t[:, cols] @ w
-            elif self.measure == "roundtriprank":
-                scores[:, j] = (f[:, cols] * t[:, cols]) @ w
-            else:  # roundtriprank_plus
-                for col, weight in zip(cols, w.tolist()):
-                    scores[:, j] += weight * combine_beta(f[:, col], t[:, col], self.beta)
-        if self.measure == "roundtriprank" and self.normalize:
-            scores = normalize_columns(scores, "MicroBatcher(roundtriprank)")
-        return scores
+        if self.measure != "trank":
+            f = dict(zip(union, cache.get_many(self.graph, "f", union, self.alpha)))
+        if self.measure != "frank":
+            t = dict(zip(union, cache.get_many(self.graph, "t", union, self.alpha)))
+        return compose_scores(
+            [(request.nodes, request.weights) for request in batch],
+            self.measure,
+            f,
+            t,
+            beta=self.beta,
+            normalize=self.measure == "roundtriprank" and self.normalize,
+            what="MicroBatcher(roundtriprank)",
+        )

@@ -638,7 +638,6 @@ def _escalation_mask(
 
 
 def _solve_exact(
-    graph: DiGraph,
     nodes: np.ndarray,
     weights: np.ndarray,
     measure: str,
@@ -646,34 +645,36 @@ def _solve_exact(
     normalize: bool,
     solve_columns: Callable,
 ) -> np.ndarray:
-    """Exact full-score vector, replicating the batch engine's arithmetic.
+    """Exact full-score vector, composed exactly as the full-solve paths.
 
-    The column stacks come from ``solve_columns`` (the engine by default, a
-    cache-backed hook in the gateway) and the per-query combination repeats
-    :func:`repro.engine.batch.roundtriprank_batch` /
-    :class:`repro.serving.MicroBatcher` operation-for-operation, so the
-    escalated result is bit-identical to the corresponding full-solve path.
+    The columns come from ``solve_columns`` (the engine by default, a
+    cache-backed hook in the gateway) and go through
+    :func:`repro.engine.batch.compose_scores`, the routine that
+    :func:`repro.engine.batch.roundtriprank_batch` and
+    :class:`repro.serving.MicroBatcher` compose with, so the escalated
+    result is bit-identical to the corresponding full-solve path.
     """
-    needs_f = measure != "trank"
-    needs_t = measure != "frank"
-    node_list = [int(v) for v in nodes]
-    f = solve_columns("f", node_list) if needs_f else None
-    t = solve_columns("t", node_list) if needs_t else None
-    if measure == "frank":
-        scores = f @ weights
-    elif measure == "trank":
-        scores = t @ weights
-    elif measure == "roundtriprank":
-        scores = (f * t) @ weights
-        if normalize:
-            from repro.engine.batch import normalize_columns
+    from repro.engine.batch import compose_scores  # circular at module level
 
-            scores = normalize_columns(scores[:, None], "local_topk")[:, 0]
-    else:
-        scores = np.zeros(graph.n_nodes)
-        for j in range(len(node_list)):
-            scores += float(weights[j]) * combine_beta(f[:, j], t[:, j], beta)
-    return scores
+    node_list = [int(v) for v in nodes]
+
+    def columns(kind: str) -> "dict[int, np.ndarray]":
+        solved = solve_columns(kind, node_list)
+        if isinstance(solved, np.ndarray):
+            solved = solved.T  # an n x m stack: one row per node
+        return dict(zip(node_list, solved))
+
+    f = columns("f") if measure != "trank" else None
+    t = columns("t") if measure != "frank" else None
+    return compose_scores(
+        [(nodes, weights)],
+        measure,
+        f,
+        t,
+        beta=beta,
+        normalize=measure == "roundtriprank" and normalize,
+        what="local_topk",
+    )[0]
 
 
 def _engine_solver(
@@ -720,7 +721,7 @@ def _local_topk_impl(
     max_iter: int = 1000,
     warn_on_nonconvergence: bool = True,
     exact_method: str = "auto",
-    solve_columns: "Callable[[str, list[int]], np.ndarray] | None" = None,
+    solve_columns: "Callable[[str, list[int]], Sequence[np.ndarray]] | None" = None,
     column_probe: "Callable[[str, int], np.ndarray | None] | None" = None,
 ) -> LocalTopKResult:
     """Exact top-``k`` for one query via certified local push.
@@ -732,7 +733,8 @@ def _local_topk_impl(
     within the work budget the exact solver takes over and the result
     matches the full-solve path bit-for-bit.
 
-    Hooks: ``solve_columns(kind, nodes) -> n x m`` column stack replaces the
+    Hooks: ``solve_columns(kind, nodes)`` returns one length-``n`` column per
+    node (a sequence of columns, or an ``n x m`` stack) and replaces the
     engine solves on escalation (the gateway routes it through
     ``ColumnCache`` so escalations warm the cache); ``column_probe(kind,
     node)`` may return an already-exact column (cache hit) that then
@@ -877,7 +879,7 @@ def _local_topk_impl(
     prune = None
     if exclude is None and candidate_mask is None:
         prune = _escalation_mask(measure, f_states, t_states, k, n)
-    scores = _solve_exact(graph, nodes, weights, measure, beta, normalize, solve_columns)
+    scores = _solve_exact(nodes, weights, measure, beta, normalize, solve_columns)
     order, values = topk_select(
         scores, k, exclude=exclude, candidate_mask=prune if prune is not None else candidate_mask
     )
@@ -921,7 +923,7 @@ def local_topk(
     max_iter: int = 1000,
     warn_on_nonconvergence: bool = True,
     exact_method: str = "auto",
-    solve_columns: "Callable[[str, list[int]], np.ndarray] | None" = None,
+    solve_columns: "Callable[[str, list[int]], Sequence[np.ndarray]] | None" = None,
     column_probe: "Callable[[str, int], np.ndarray | None] | None" = None,
 ) -> LocalTopKResult:
     with obs.span("topk.local", k=int(k), measure=measure) as ospan:

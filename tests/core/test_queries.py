@@ -53,6 +53,13 @@ class TestNormalizeQuery:
         with pytest.raises(ValueError, match="non-negative"):
             normalize_query(g, {0: -1.0})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, g, bad):
+        with pytest.raises(ValueError, match="finite"):
+            normalize_query(g, {0: bad})
+        with pytest.raises(ValueError, match="finite"):
+            normalize_query(g, {0: 1.0, 3: bad})
+
     def test_zero_weights_rejected(self, g):
         with pytest.raises(ValueError, match="zero"):
             normalize_query(g, {0: 0.0})

@@ -172,3 +172,11 @@ class TestBatchValidation:
     def test_bad_beta_rejected(self, toy_graph):
         with pytest.raises(ValueError):
             roundtriprank_plus_batch(toy_graph, [0], beta=1.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, toy_graph, bad):
+        # Rejected up front, never an all-NaN score column.
+        with pytest.raises(ValueError, match="finite"):
+            frank_batch(toy_graph, [0, {1: bad, 2: 1.0}])
+        with pytest.raises(ValueError, match="finite"):
+            roundtriprank_batch(toy_graph, [{3: bad}])

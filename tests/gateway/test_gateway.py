@@ -76,6 +76,28 @@ class TestRouting:
         assert gateway.snapshot().n_shed == 0  # caller bugs are not load
         gateway.close()
 
+    @pytest.mark.parametrize("local_topk", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_raise_not_shed(self, toy_graph, local_topk, bad):
+        from repro.gateway import AdmissionConfig
+
+        gateway = RankGateway(
+            toy_graph,
+            admission=AdmissionConfig(rate=1e-6, burst=1),
+            local_topk=local_topk,
+        )
+        with pytest.raises(ValueError, match="finite"):
+            gateway.submit({0: bad, 1: 1.0}, k=3)
+        assert gateway.snapshot().n_admitted == 0
+        assert gateway.snapshot().n_shed == 0
+        # The rejected query consumed no rate token: the one burst token
+        # still admits a valid query.
+        result = gateway.submit(0, k=3)
+        assert not isinstance(result, Shed)
+        gateway.flush_all()
+        assert result.result(timeout=5.0)[0].shape == (3,)
+        gateway.close()
+
     def test_invalid_k_never_consumes_a_rate_token(self, toy_graph):
         from repro.gateway import AdmissionConfig, Shed
 

@@ -1,7 +1,8 @@
 """Capability probing: the fast paths must be *visibly* active in CI.
 
 The scipy kernel's accumulate form and the blocked kernel both depend on the
-private ``scipy.sparse._sparsetools.csr_matvecs`` entry point.  The import
+private ``scipy.sparse._sparsetools.csr_matvecs`` entry point, and width-1
+products on its single-vector sibling ``csr_matvec``.  The import
 is feature-detected (an upstream rename degrades silently to the pure-``@``
 fallback in production), so this module pins the expectation in CI: if a
 scipy upgrade drops the symbol, these tests fail loudly and the dependency
@@ -28,9 +29,20 @@ class TestCsrMatvecsCapability:
             "is disabled — port the accumulate call before shipping"
         )
 
+    def test_width_one_fast_path_is_active_on_this_scipy(self):
+        # Same deliberate hard assert for the single-vector entry point that
+        # width-1 products use: without it every escalation solve's sweeps
+        # run about 2x slower, with no other visible symptom.
+        assert k.HAS_CSR_MATVEC, (
+            "scipy.sparse._sparsetools.csr_matvec vanished from this scipy "
+            f"({__import__('scipy').__version__}); width-1 matmat fell back to "
+            "csr_matvecs — port the single-vector call before shipping"
+        )
+
     def test_capabilities_report_matches_flags(self):
         caps = ops.capabilities()
         assert caps["csr_matvecs"] == k.HAS_CSR_MATVECS
+        assert caps["csr_matvec"] == k.HAS_CSR_MATVEC
         assert caps["numba"] == k.HAS_NUMBA
         assert caps["l2_bytes"] > 0
 

@@ -86,6 +86,69 @@ class TestBlockedSlabbing:
         assert np.array_equal(out_blocked, out_scipy)
 
 
+class TestWidthOneDispatch:
+    """Width-1 products go to ``csr_matvec`` and keep ``csr_matvecs``' bits."""
+
+    @pytest.fixture()
+    def wide_rows_csr(self):
+        # Long rows (~60 nnz each) so any change in accumulation order or
+        # fused multiply-adds would show up in the low bits.
+        rng = np.random.default_rng(23)
+        matrix = sp.random(
+            400, 400, density=0.15, random_state=rng, format="csr",
+            data_rvs=lambda size: rng.standard_normal(size),
+        )
+        matrix.sort_indices()
+        return matrix
+
+    @staticmethod
+    def _matvecs_reference(matrix, x, base):
+        out = base.copy()
+        n_row, n_col = matrix.shape
+        k._csr_matvecs(
+            n_row, n_col, 1, matrix.indptr, matrix.indices, matrix.data,
+            x.ravel(), out.ravel(),
+        )
+        return out
+
+    @pytest.mark.parametrize("kernel", available_kernel_names())
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("accumulate", [False, True])
+    def test_width_one_bit_equals_csr_matvecs(
+        self, forced_slabs, wide_rows_csr, monkeypatch, kernel, dtype, accumulate
+    ):
+        monkeypatch.setenv(k.KERNEL_THREADS_ENV_VAR, "3")  # several row ranges
+        rng = np.random.default_rng(29)
+        matrix = wide_rows_csr.astype(dtype)
+        x = rng.standard_normal((400, 1)).astype(dtype)
+        base = rng.standard_normal((400, 1)).astype(dtype)
+        top = ops.as_operator(matrix)
+        if accumulate:
+            out = base.copy()
+            top.matmat(x, out=out, accumulate=True, kernel=kernel)
+            expected = self._matvecs_reference(matrix, x, base)
+        else:
+            out = top.matmat(x, kernel=kernel)
+            expected = self._matvecs_reference(matrix, x, np.zeros_like(base))
+        assert out.dtype == np.dtype(dtype)
+        assert np.array_equal(out, expected)
+
+    def test_width_one_uses_csr_matvec(self, medium_csr, monkeypatch):
+        calls = []
+        real = k._csr_matvec
+
+        def spy(*args):
+            calls.append(len(args))
+            real(*args)
+
+        monkeypatch.setattr(k, "_csr_matvec", spy)
+        top = ops.as_operator(medium_csr)
+        top.matmat(np.ones((83, 1)), kernel="scipy")
+        assert calls == [7]
+        top.matmat(np.ones((83, 2)), kernel="scipy")
+        assert calls == [7]  # wider blocks stay on csr_matvecs
+
+
 class TestSolverParityAcrossKernels:
     def test_power_batch_bit_exact_across_kernels(self, forced_slabs, medium_csr):
         # Row-normalize so the fixed point is a true substochastic solve.
